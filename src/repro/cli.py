@@ -224,8 +224,10 @@ def _cmd_optimize(args) -> int:
     result = PoocH(machine, config, plan_cache=args.plan_cache).optimize(graph)
     print(result.summary())
     if result.stats.plan_cache_hit:
-        print(f"plan reused from cache {args.plan_cache} "
-              "(re-verified by simulation)")
+        print(f"plan reused from cache {args.plan_cache} (verified by "
+              + ("the outcome stored under an identical profile signature)"
+                 if result.stats.plan_cache_from_record else
+                 "simulation against the current profile)"))
     if args.verbose:
         print(result.classification.describe(graph))
     timeline = result.execute()
@@ -518,8 +520,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan-cache", metavar="DIR",
                    help="persistent plan/simulation cache directory: reuses "
                         "a previously chosen plan for the same graph, "
-                        "machine and config (after re-verifying it by "
-                        "simulation) and warm-starts the search otherwise")
+                        "machine and config (verified by the outcome "
+                        "stored with it under an identical profile "
+                        "signature, else by simulation) and warm-starts "
+                        "the search otherwise")
     p.add_argument("--no-prune", action="store_true",
                    help="disable branch-and-bound pruning of the step-1 "
                         "keep-vs-swap tree (exhaustive scan; the chosen plan "

@@ -173,9 +173,12 @@ class SearchStats:
     #: simulation — the floor already exceeded capacity, so the simulation
     #: could only have returned "infeasible" (incremental_step2 only)
     keep_probes_elided: int = 0
-    #: True when the plan came from a PlanCache (verified by simulation)
-    #: instead of a fresh search — search fields above are then empty
+    #: True when the plan came from a PlanCache instead of a fresh search —
+    #: search fields above are then empty
     plan_cache_hit: bool = False
+    #: the hit was verified by the outcome stored in the plan record (same
+    #: profile signature) rather than by a simulation
+    plan_cache_from_record: bool = False
     #: step-1 exact-tree accounting: leaves enumerated after the byte
     #: prune, leaves actually evaluated, and what branch-and-bound skipped
     leaves_total: int = 0

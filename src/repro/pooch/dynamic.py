@@ -37,6 +37,7 @@ from repro.gpusim import RunResult
 from repro.hw import CostModel, MachineSpec
 from repro.obs import get_logger, metrics
 from repro.pooch.classifier import PoochClassifier, PoochConfig
+from repro.pooch.plan_reuse import reuse_cached_plan, store_search
 from repro.pooch.predictor import TimelinePredictor
 from repro.runtime.durations import CostModelDurations
 from repro.runtime.executor import execute
@@ -219,29 +220,20 @@ class DynamicPoocH:
         predictor = self._predictor(size)
         cache = self.plan_cache
         if cache is not None:
-            predictor.preload_outcomes(
-                cache.load_outcomes(graph, self.machine,
-                                    predictor.sim_signature())
-            )
-            hit = (cache.load_plan(graph, self.machine, self.config.signature())
-                   if use_plan_cache else None)
+            hit = reuse_cached_plan(cache, graph, self.machine,
+                                    self.config.signature(), predictor,
+                                    lookup=use_plan_cache)
             if hit is not None:
-                classification, _meta = hit
-                if predictor.predict(classification).feasible:
-                    self.stats.optimizations += 1
-                    return classification
+                self.stats.optimizations += 1
+                return hit[0]
         classifier = PoochClassifier(
             graph, profile, self.machine, self.config, predictor
         )
         classification, _ = classifier.classify()
         if cache is not None:
-            cache.store_plan(
-                graph, self.machine, self.config.signature(), classification,
-                predicted_time=predictor.predict(classification).time,
-            )
-            cache.merge_outcomes(graph, self.machine,
-                                 predictor.sim_signature(),
-                                 predictor.export_outcomes())
+            store_search(cache, graph, self.machine, self.config.signature(),
+                         classification, predictor.predict(classification),
+                         predictor)
         self.stats.optimizations += 1
         return classification
 

@@ -13,6 +13,7 @@ from repro.hw import CostModel, MachineSpec
 from repro.obs import get_logger, metrics
 from repro.pooch.classifier import PoochClassifier, PoochConfig, SearchStats
 from repro.pooch.multidevice import MultiDevicePlan, plan_staggered
+from repro.pooch.plan_reuse import reuse_cached_plan, store_search
 from repro.pooch.predictor import PredictedOutcome, TimelinePredictor
 from repro.runtime.executor import execute
 from repro.runtime.plan import Classification
@@ -197,11 +198,13 @@ class PoocH:
         profile_iterations: how many iterations the profiling phase averages
             (the paper runs "several"; 1 suffices when deterministic).
         plan_cache: a :class:`~repro.runtime.plan_io.PlanCache` (or a
-            directory path for one).  ``optimize`` then warm-starts the
-            predictor from cached simulation outcomes, reuses a cached plan
-            when one exists for this (graph, machine, config) — after
-            re-verifying it by simulation against the current profile — and
-            stores fresh results back for the next run.
+            directory path for one).  ``optimize`` then reuses a cached plan
+            when one exists for this (graph, machine, config) — verified by
+            the outcome stored with it when the profile signature is
+            identical, else by simulation against the current profile —
+            warm-starts the predictor from cached simulation outcomes when
+            a search must run, and stores fresh results back for the next
+            run (see :mod:`repro.pooch.plan_reuse`).
         faults: a :class:`~repro.faults.FaultInjector` (or a
             :class:`~repro.faults.FaultSpec` / CLI spec string built with
             ``fault_seed``).  ``profile_noise`` then perturbs the measured
@@ -287,36 +290,29 @@ class PoocH:
         )
         cache = self.plan_cache
         if cache is not None:
-            predictor.preload_outcomes(
-                cache.load_outcomes(graph, self.machine,
-                                    predictor.sim_signature())
-            )
-            hit = cache.load_plan(graph, self.machine, self.config.signature())
+            hit = reuse_cached_plan(cache, graph, self.machine,
+                                    self.config.signature(), predictor)
             if hit is not None:
-                classification, _meta = hit
-                # simulate-before-running: trust the cache only if the plan
-                # is still feasible under the *current* profile
-                outcome = predictor.predict(classification)
-                if outcome.feasible:
-                    metrics.count("search.plan_cache_hits")
-                    log.info("plan cache hit for %r on %s (re-verified: "
-                             "%.3f ms predicted)", graph.name,
-                             self.machine.name, outcome.time * 1e3)
-                    self._emit("cache:hit", graph=graph.name,
-                               predicted_time_s=outcome.time)
-                    stats = SearchStats(plan_cache_hit=True)
-                    stats.time_after_step2 = outcome.time
-                    return self._attach_multi(PoochResult(
-                        graph=graph,
-                        machine=self.machine,
-                        classification=classification,
-                        profile=profile,
-                        stats=stats,
-                        predicted=outcome,
-                        config=self.config,
-                        faults=self.faults,
-                    ))
-                metrics.count("search.plan_cache_rejections")
+                classification, outcome, from_record = hit
+                log.info("plan cache hit for %r on %s (verified by %s: "
+                         "%.3f ms predicted)", graph.name, self.machine.name,
+                         "stored outcome" if from_record else "simulation",
+                         outcome.time * 1e3)
+                self._emit("cache:hit", graph=graph.name,
+                           predicted_time_s=outcome.time)
+                stats = SearchStats(plan_cache_hit=True,
+                                    plan_cache_from_record=from_record)
+                stats.time_after_step2 = outcome.time
+                return self._attach_multi(PoochResult(
+                    graph=graph,
+                    machine=self.machine,
+                    classification=classification,
+                    profile=profile,
+                    stats=stats,
+                    predicted=outcome,
+                    config=self.config,
+                    faults=self.faults,
+                ))
         self._emit("search:start", graph=graph.name,
                    maps=len(graph.classifiable_maps()))
         classifier = PoochClassifier(
@@ -336,13 +332,8 @@ class PoocH:
             predicted.time * 1e3,
         )
         if cache is not None:
-            cache.store_plan(
-                graph, self.machine, self.config.signature(), classification,
-                predicted_time=predicted.time,
-            )
-            cache.merge_outcomes(graph, self.machine,
-                                 predictor.sim_signature(),
-                                 predictor.export_outcomes())
+            store_search(cache, graph, self.machine, self.config.signature(),
+                         classification, predicted, predictor)
         return self._attach_multi(PoochResult(
             graph=graph,
             machine=self.machine,

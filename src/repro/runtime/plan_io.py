@@ -11,7 +11,9 @@ the x86 machine, watch it underperform.
 keyed by (graph signature, machine signature, search-config signature), and
 predictor simulation outcomes keyed additionally by classification — so
 repeated optimizations (PoocH across runs, DynamicPoocH across sizes) can
-warm-start instead of re-searching from scratch.
+warm-start instead of re-searching from scratch.  A plan record also carries
+the outcome that verified it, so re-planning an identical problem needs
+neither a simulation nor the outcome store.
 """
 
 from __future__ import annotations
@@ -19,11 +21,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import operator
 import os
 import pathlib
 import threading
 from collections import OrderedDict
-from typing import Any, TYPE_CHECKING
+from contextlib import contextmanager
+from typing import Any, Iterator, TYPE_CHECKING
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts
+    fcntl = None  # type: ignore[assignment]
 
 from repro.common.errors import ScheduleError
 from repro.graph import NNGraph
@@ -34,6 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.profiler import Profile
 
 FORMAT_VERSION = 1
+#: layout of the outcome store, versioned apart from plans: v1 spelled out
+#: every key ("0:swap,1:keep,..."); v2 lists the map indices once in a
+#: ``maps`` header and writes one class character per map per entry.  Files
+#: of any other version read as misses.
+OUTCOME_FORMAT_VERSION = 2
+#: the ``PredictedOutcome`` fields an outcome entry carries
+OUTCOME_FIELDS = ("feasible", "time", "peak_memory", "oom_context")
+#: MapClass value -> its one-character spelling in v2 outcome keys (the
+#: values start with distinct letters: k, s, r)
+_CLASS_CHAR = {c.value: c.value[0] for c in MapClass}
 
 
 def graph_signature(graph: NNGraph) -> str:
@@ -207,17 +226,84 @@ def load_plan(path: str | pathlib.Path, graph: NNGraph) -> Classification:
 
 # -- persistent plan / simulation-outcome cache -----------------------------------
 
-#: serialized form of Classification.key(): "0:swap,1:keep,..."
-def key_to_str(key: tuple[tuple[int, str], ...]) -> str:
-    return ",".join(f"{i}:{v}" for i, v in key)
+def encode_outcome_entries(
+    entries: dict[tuple[tuple[int, str], ...], dict[str, Any]],
+) -> tuple[list[int], dict[str, dict[str, Any]]]:
+    """The v2 spelling of outcome entries: the map indices once, and each
+    classification key as one class character per map (``"ssk"`` for
+    ``((0, "swap"), (1, "swap"), (4, "keep"))`` under maps ``[0, 1, 4]``).
+
+    Keys of one graph all cover its classifiable maps, so they share one map
+    list.  A key over a different map set cannot be spelled under that
+    header and is left out — the store is a cache, and a dropped entry only
+    costs a later simulation.
+    """
+    maps: tuple[int, ...] | None = None
+    raw: dict[str, dict[str, Any]] = {}
+    char = _CLASS_CHAR.__getitem__
+    for key, entry in entries.items():
+        idx, values = zip(*key) if key else ((), ())
+        if maps is None:
+            maps = idx
+        elif idx != maps:
+            continue
+        raw["".join(map(char, values))] = entry
+    return list(maps or ()), raw
 
 
-def key_from_str(s: str) -> tuple[tuple[int, str], ...]:
-    if not s:
-        return ()
-    return tuple(
-        (int(i), v) for i, _, v in (part.partition(":") for part in s.split(","))
-    )
+def decode_outcome_entries(
+    maps: Any, raw: Any,
+) -> dict[tuple[tuple[int, str], ...], dict[str, Any]] | None:
+    """Inverse of :func:`encode_outcome_entries`, or ``None`` when the
+    document is malformed (a key of the wrong length or with an unknown
+    class character included).
+
+    Every rebuilt key is made of the same interned ``(map, class)`` pair
+    tuples, so loading allocates one tuple per entry rather than one per map
+    per entry.
+    """
+    if not isinstance(maps, list) or not isinstance(raw, dict):
+        return None
+    getitem = operator.getitem
+    try:
+        pairs = [{ch: (int(m), value) for value, ch in _CLASS_CHAR.items()}
+                 for m in maps]
+        entries = {}
+        for s, entry in raw.items():
+            if len(s) != len(pairs):
+                return None
+            entries[tuple(map(getitem, pairs, s))] = entry
+    except (KeyError, TypeError, ValueError):
+        return None
+    return entries
+
+
+def recorded_outcome(meta: dict[str, Any],
+                     sim_signature: str) -> dict[str, Any] | None:
+    """The verifying outcome a plan record carries, if it was recorded under
+    ``sim_signature`` (the same profile and predictor settings); ``None``
+    for records without one (older files) and for any other signature."""
+    rec = meta.get("outcome")
+    if (not isinstance(rec, dict) or rec.get("sim_signature") != sim_signature
+            or any(f not in rec for f in OUTCOME_FIELDS)):
+        return None
+    return {f: rec[f] for f in OUTCOME_FIELDS}
+
+
+@contextmanager
+def _flocked(path: pathlib.Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``path``'s ``.lock`` sidecar — the
+    merge lock between processes (and between PlanCache instances, whose
+    separate opens of the sidecar exclude each other too)."""
+    if fcntl is None:  # pragma: no cover - non-POSIX hosts
+        yield
+        return
+    with open(path.with_suffix(".lock"), "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fh, fcntl.LOCK_UN)
 
 
 class PlanCache:
@@ -227,14 +313,18 @@ class PlanCache:
 
     * ``plans/`` — the chosen classification per (graph signature, machine
       signature, caller-supplied config signature).  Callers are expected to
-      re-verify a loaded plan by simulation before trusting it (the
-      simulate-before-running discipline); the cache only guarantees the
-      plan was chosen for a structurally identical problem.
+      re-verify a loaded plan before trusting it (the simulate-before-running
+      discipline); the cache only guarantees the plan was chosen for a
+      structurally identical problem.  A record stored with ``outcome=``
+      carries the verifying outcome and the simulation signature it holds
+      under (:func:`recorded_outcome`), so a caller with an identical
+      profile can verify from the record alone.
     * ``outcomes/`` — predictor simulation outcomes per (graph signature,
       machine signature, caller-supplied simulation signature), keyed by
       classification.  Entries are plain dicts mirroring
       ``PredictedOutcome`` fields; merging is last-writer-wins per
-      classification (outcomes are deterministic, so writers agree).
+      classification (outcomes are deterministic, so writers agree) and
+      lossless across concurrent writers (see :meth:`merge_outcomes`).
 
     File names are content-hashed from the key signatures; each file also
     records the full signatures and is ignored on mismatch, so a hash
@@ -262,6 +352,9 @@ class PlanCache:
             ) from e
         self.lru_capacity = lru_capacity
         self._lock = threading.Lock()
+        #: serializes this instance's outcome merges (the planning server
+        #: shares one PlanCache across its worker threads)
+        self._merge_lock = threading.Lock()
         #: (kind, *signatures) -> cached value; ordered oldest-first
         self._lru: OrderedDict[tuple, Any] = OrderedDict()
         #: tier accounting for the serve benchmark / stats endpoint
@@ -353,13 +446,25 @@ class PlanCache:
         *,
         predicted_time: float | None = None,
         extra: dict[str, Any] | None = None,
+        outcome: dict[str, Any] | None = None,
+        sim_signature: str | None = None,
     ) -> pathlib.Path:
+        """Write the plan record.  ``outcome`` (the plan's verifying
+        ``PredictedOutcome`` fields) is recorded together with the
+        ``sim_signature`` it was simulated under."""
         gsig, msig = graph_signature(graph), machine_signature(machine)
         payload = plan_to_dict(classification, graph, machine=machine.name,
                                predicted_time=predicted_time)
         payload["graph_signature"] = gsig
         payload["machine_signature"] = msig
         payload["config_signature"] = config_signature
+        if outcome is not None:
+            if sim_signature is None:
+                raise ValueError("a recorded outcome needs its sim_signature")
+            payload["outcome"] = {
+                "sim_signature": sim_signature,
+                **{f: outcome[f] for f in OUTCOME_FIELDS},
+            }
         if extra:
             payload.update(extra)
         path = self.root / "plans" / f"{self._digest(gsig, msig, config_signature)}.json"
@@ -376,6 +481,21 @@ class PlanCache:
                               machine_signature(machine), sim_signature)
         return self.root / "outcomes" / f"{digest}.json"
 
+    def _read_outcomes(
+        self, path: pathlib.Path, gsig: str, msig: str, sim_signature: str
+    ) -> dict[tuple[tuple[int, str], ...], dict[str, Any]]:
+        """Parse one outcome file; a missing, foreign, malformed or
+        other-version file reads as empty."""
+        data = self._read(path, {
+            "graph_signature": gsig,
+            "machine_signature": msig,
+            "sim_signature": sim_signature,
+        })
+        if data is None or data.get("format_version") != OUTCOME_FORMAT_VERSION:
+            return {}
+        return decode_outcome_entries(data.get("maps"),
+                                      data.get("entries")) or {}
+
     def load_outcomes(
         self, graph: NNGraph, machine: "MachineSpec", sim_signature: str
     ) -> dict[tuple[tuple[int, str], ...], dict[str, Any]]:
@@ -389,18 +509,11 @@ class PlanCache:
         cached = self._lru_get(key)
         if cached is not None:
             return dict(cached)
-        data = self._read(
-            self.root / "outcomes" / f"{self._digest(gsig, msig, sim_signature)}.json",
-            {
-                "graph_signature": gsig,
-                "machine_signature": msig,
-                "sim_signature": sim_signature,
-            },
-        )
-        if data is None:
-            return {}
-        entries = {key_from_str(k): v for k, v in data.get("entries", {}).items()}
-        self._lru_put(key, entries)
+        entries = self._read_outcomes(
+            self.outcomes_path(graph, machine, sim_signature),
+            gsig, msig, sim_signature)
+        if entries:
+            self._lru_put(key, entries)
         return dict(entries)
 
     def merge_outcomes(
@@ -410,18 +523,30 @@ class PlanCache:
         sim_signature: str,
         entries: dict[tuple[tuple[int, str], ...], dict[str, Any]],
     ) -> int:
-        """Union ``entries`` into the store; returns the total entry count."""
+        """Union ``entries`` into the store; returns the total entry count.
+
+        The read-modify-write holds a thread lock and an ``flock`` on the
+        file's sidecar, and re-reads the file (never the LRU, which another
+        process's merge may have made stale), so concurrent merges —
+        threads or processes — lose no entries.
+        """
         gsig, msig = graph_signature(graph), machine_signature(machine)
-        existing = self.load_outcomes(graph, machine, sim_signature)
-        existing.update(entries)
-        payload = {
-            "format_version": FORMAT_VERSION,
-            "graph_signature": gsig,
-            "machine_signature": msig,
-            "sim_signature": sim_signature,
-            "entries": {key_to_str(k): v for k, v in existing.items()},
-        }
-        path = self.root / "outcomes" / f"{self._digest(gsig, msig, sim_signature)}.json"
-        _atomic_write_text(path, json.dumps(payload) + "\n")
-        self._lru_put(("outcomes", gsig, msig, sim_signature), existing)
-        return len(existing)
+        path = self.outcomes_path(graph, machine, sim_signature)
+        with self._merge_lock, _flocked(path):
+            merged = self._read_outcomes(path, gsig, msig, sim_signature)
+            merged.update(entries)
+            maps, raw = encode_outcome_entries(merged)
+            if len(raw) != len(merged):  # the memo holds what the file holds
+                merged = decode_outcome_entries(maps, raw)
+            payload = {
+                "format_version": OUTCOME_FORMAT_VERSION,
+                "graph_signature": gsig,
+                "machine_signature": msig,
+                "sim_signature": sim_signature,
+                "maps": maps,
+                "entries": raw,
+            }
+            _atomic_write_text(path, json.dumps(payload, separators=(",", ":"))
+                               + "\n")
+        self._lru_put(("outcomes", gsig, msig, sim_signature), merged)
+        return len(raw)

@@ -57,6 +57,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    #: headers and body go out as two writes; with Nagle's algorithm on, the
+    #: body waits for the client's delayed ACK of the headers (~40 ms per
+    #: response on a keep-alive connection)
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------------
 

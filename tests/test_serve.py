@@ -626,6 +626,25 @@ class TestHTTP:
             planner.gate.set()
             client.wait(decoy["id"])
 
+    def test_keep_alive_responses_do_not_stall(self, server):
+        # regression: headers and body left in two segments, and Nagle's
+        # algorithm held the body back until the client's delayed ACK
+        # (~40 ms per response); a plain client sets no TCP_QUICKACK
+        import http.client
+
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/v1/healthz")
+                resp = conn.getresponse()
+                assert json.loads(resp.read()) == {"status": "ok"}
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.5, f"20 keep-alive requests took {elapsed:.3f} s"
+
     def test_stats_endpoint(self, server):
         client = PlannerClient(server.url)
         client.result(client.submit("mlp", batch=8,
