@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ProfileLookupError, ScheduleError, nearest_keys
+from repro.common.gcpause import gc_paused
 from repro.graph import NNGraph
 from repro.gpusim import Engine, RunResult, TaskKind
 from repro.hw import CostModel, MachineSpec
@@ -99,6 +100,7 @@ class ProfileDurations:
         return self.profile.update_time
 
 
+@gc_paused()
 def run_profiling(
     graph: NNGraph,
     machine: MachineSpec,
@@ -118,6 +120,11 @@ def run_profiling(
     ``durations`` overrides the ground-truth duration source entirely (the
     fault layer profiles through it to model a machine that misbehaves while
     being measured); the default is the analytic cost model.
+
+    The simulations run with the cyclic garbage collector paused (see
+    :mod:`repro.common.gcpause`): they make no cycles, and a full
+    collection landing inside one call made a warm re-plan's latency
+    bimodal.
     """
     if iterations < 1:
         raise ScheduleError("profiling needs at least one iteration")

@@ -1,8 +1,12 @@
 """Ground-truth executor and the profiling phase."""
 
+import gc
+import threading
+
 import pytest
 
 from repro.common.errors import OutOfMemoryError, ScheduleError
+from repro.common.gcpause import gc_paused
 from repro.gpusim import TaskKind
 from repro.hw import CostModel
 from repro.models import linear_chain, poster_example, small_cnn
@@ -138,3 +142,72 @@ class TestProfiler:
     def test_update_time_profiled(self, poster, x86):
         prof = run_profiling(poster, x86)
         assert prof.update_time > 0
+
+
+class TestGcPaused:
+    def test_collector_off_inside_and_back_after(self):
+        assert gc.isenabled()
+        with gc_paused():
+            assert not gc.isenabled()
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()  # the outer block still holds it
+        assert gc.isenabled()
+
+    def test_restored_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with gc_paused():
+                raise RuntimeError("boom")
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        try:
+            with gc_paused():
+                pass
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_overlapping_threads_reenable_once_the_last_exits(self):
+        first_in, second_in = threading.Event(), threading.Event()
+        first_out = threading.Event()
+        seen = {}
+
+        def first():
+            with gc_paused():
+                first_in.set()
+                second_in.wait(5)
+            seen["after_first"] = gc.isenabled()
+            first_out.set()
+
+        def second():
+            first_in.wait(5)
+            with gc_paused():
+                second_in.set()
+                first_out.wait(5)
+                seen["inside_second"] = gc.isenabled()
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert seen == {"after_first": False, "inside_second": False}
+        assert gc.isenabled()
+
+    def test_profiling_runs_with_the_collector_paused(self, poster, x86,
+                                                      monkeypatch):
+        import repro.runtime.profiler as profiler
+
+        states = []
+        real = profiler.build_schedule
+
+        def spy(*args, **kwargs):
+            states.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(profiler, "build_schedule", spy)
+        run_profiling(poster, x86, iterations=2)
+        assert states == [False, False, False]
+        assert gc.isenabled()
